@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race audit clockgate randgate experiments regress bench bench-compare bench-kernels bench-gate bench-cache bench-events bench-serve bench-runpack bench-corpus bench-scen artifacts examples outputs clean
+.PHONY: all build vet test fuzz-smoke race audit clockgate randgate experiments regress bench bench-compare bench-kernels bench-gate bench-cache bench-events bench-serve bench-runpack bench-corpus bench-scen artifacts examples outputs clean
 
 # audit (vet + race + clock gate + rand gate) is part of all: the parallel
 # substrate (internal/par) and every hot path wired onto it must stay clean
@@ -20,7 +20,8 @@ GO ?= go
 # bench-events records the event-engine and
 # sweep benchmarks; regress re-executes the committed golden runpacks at
 # workers 1, 4 and 8 and fails on any byte of material drift (DESIGN.md §8).
-all: build test audit experiments regress bench-cache bench-serve bench-gate bench-events
+# fuzz-smoke gives each native fuzz target a fixed short budget.
+all: build test fuzz-smoke audit experiments regress bench-cache bench-serve bench-gate bench-events
 
 build:
 	$(GO) build ./...
@@ -30,6 +31,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Native fuzzing on a fixed 10 s budget: the compiled classifier's byte
+# path against the strings.Contains reference. The committed seeds under
+# internal/core/testdata/fuzz also run as plain tests in `make test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifyMatchesReference$$' -fuzztime 10s ./internal/core
 
 race:
 	$(GO) test -race ./...

@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		vms      = fs.Int("vms", 12, "energy: fleet size")
 		chunks   = fs.Int("chunks", 200, "io: producer chunk count")
 		seed     = fs.Int64("seed", 1, "workload seed")
-		metrics  = fs.Bool("metrics", false, "faas: append Prometheus-text metrics after the report")
+		metrics  = fs.Bool("metrics", false, "faas and -run: append Prometheus-text metrics after the output")
 		listExp  = fs.Bool("list", false, "list every registered experiment and exit")
 		runExp   = fs.String("run", "", "run one registered experiment by name (\"all\" = whole registry)")
 		jsonOut  = fs.Bool("json", false, "with -run: emit the experiment Result as JSON")
@@ -88,6 +88,7 @@ func run(args []string, out io.Writer) error {
 	cliOpts := experiments.CLIOptions{
 		List: *listExp, Run: *runExp, JSON: *jsonOut,
 		Seed: *seed, Workers: *workers, Cache: *cacheDir, Runpack: *packDir,
+		Metrics: *metrics,
 	}
 	if cliOpts.Active() {
 		reg, err := experiments.Default()

@@ -96,6 +96,17 @@ func TestFaaSScenarioMetrics(t *testing.T) {
 	}
 }
 
+// With -run, -metrics appends the run's telemetry.
+func TestRunMetrics(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-run", "corpus/classify", "-metrics"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\n# metrics (Prometheus text exposition)\n# TYPE corpus_shards_exec counter\ncorpus_shards_exec 3\n") {
+		t.Errorf("-run -metrics printed no run telemetry:\n%s", sb.String())
+	}
+}
+
 // The registry-driven flags mirror smsreport's: one shared assembly backs
 // -list and -run in every CLI.
 func TestRegistryFlags(t *testing.T) {

@@ -14,6 +14,7 @@
 //	smsreport -cpuprofile cpu.pprof   # profile the render (go tool pprof cpu.pprof)
 //	smsreport -memprofile mem.pprof   # allocation profile after the render
 //	smsreport -run corpus/classify    # sharded classification of the synthetic corpus
+//	smsreport -run all -metrics       # whole registry, then the run's telemetry
 package main
 
 import (
@@ -51,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		outDir      = fs.String("out", "", "write all artifacts into this directory")
 		catalogPath = fs.String("catalog", "", "load catalog from JSON file instead of the embedded dataset")
 		workers     = fs.Int("workers", runtime.GOMAXPROCS(0), "render worker pool size (1 = sequential; output is identical for any value)")
-		metrics     = fs.Bool("metrics", false, "append Prometheus-text render metrics after the output")
+		metrics     = fs.Bool("metrics", false, "append Prometheus-text metrics after the output (render metrics, or with -run the run's telemetry)")
 		cacheDir    = fs.String("cache", "", "content-addressed artifact cache directory for the full report: a warm rebuild over an unchanged study re-renders nothing (internal/cas)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the render to this file")
 		memProfile  = fs.String("memprofile", "", "write a pprof allocation profile after the render to this file")
@@ -89,14 +90,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	var reg *telemetry.Registry
-	if *metrics {
-		// A Sim clock keeps the exposition wall-clock free: the metrics
-		// depend only on the rendered artifacts, so identical invocations
-		// give byte-identical output regardless of machine or worker count.
-		reg = telemetry.NewWithClock(clock.NewSim(1))
-	}
-
 	cat := catalog.Default()
 	if *catalogPath != "" {
 		f, err := os.Open(*catalogPath)
@@ -117,13 +110,22 @@ func run(args []string, stdout io.Writer) error {
 	cliOpts := experiments.CLIOptions{
 		List: *listExp, Run: *runExp, JSON: *jsonOut,
 		Seed: *seed, Workers: *workers, Cache: *cacheDir, Runpack: *runpackDir,
+		Metrics: *metrics,
 	}
 	if cliOpts.Active() {
-		reg, err := experiments.New(study)
+		exps, err := experiments.New(study)
 		if err != nil {
 			return err
 		}
-		return experiments.RunCLI(reg, cliOpts, stdout)
+		return experiments.RunCLI(exps, cliOpts, stdout)
+	}
+
+	var reg *telemetry.Registry
+	if *metrics {
+		// A Sim clock keeps the exposition wall-clock free: the metrics
+		// depend only on the rendered artifacts, so identical invocations
+		// give byte-identical output regardless of machine or worker count.
+		reg = telemetry.NewWithClock(clock.NewSim(1))
 	}
 
 	if *outDir != "" {

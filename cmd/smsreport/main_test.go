@@ -179,6 +179,34 @@ func TestMetricsFlag(t *testing.T) {
 	}
 }
 
+// Every -metrics path appends an exposition: the render paths count the
+// rendered artifacts, the -run paths carry the run's own telemetry.
+func TestMetricsEveryPath(t *testing.T) {
+	const header = "\n# metrics (Prometheus text exposition)\n"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "smsreport_renders 1\n"},
+		{[]string{"-fig", "2"}, "smsreport_renders 1\n"},
+		{[]string{"-table", "1"}, "smsreport_renders 1\n"},
+		{[]string{"-cache", t.TempDir()}, "smsreport_renders 1\n"},
+		{[]string{"-out", t.TempDir()}, "smsreport_renders 20\n"},
+		{[]string{"-run", "corpus/classify"}, "corpus_shards_exec 3\n"},
+		{[]string{"-run", "corpus/stats", "-json"}, "corpus_shards_exec 3\n"},
+		{[]string{"-run", "all"}, "scengen_shards_exec 17\n"},
+	} {
+		out := runCapture(t, append(tc.args, "-metrics")...)
+		i := strings.Index(out, header)
+		if i < 0 || !strings.Contains(out[i:], tc.want) {
+			t.Errorf("%v -metrics: want an exposition holding %q, got tail:\n%s", tc.args, tc.want, out[max(0, len(out)-400):])
+		}
+		if plain := runCapture(t, tc.args...); strings.Contains(plain, header) {
+			t.Errorf("%v: metrics printed without the flag", tc.args)
+		}
+	}
+}
+
 // Under -out, every artifact is counted and the exposition is identical for
 // any worker-pool size.
 func TestMetricsWriteAllWorkerInvariant(t *testing.T) {

@@ -1,32 +1,43 @@
 package core
 
 // The compiled keyword automaton: the classification hot path rebuilt for
-// million-entry corpora (ISSUE 9, ROADMAP "Corpus at scale").
+// million-entry corpora (ROADMAP "Corpus at scale").
 //
 // The seed classifier ran O(directions × keywords) strings.Contains scans
 // per document and allocated two maps plus matched-keyword slices per call.
 // At 25 tools that is invisible; at 10^7 synthetic tool descriptions it is
 // the whole budget. This file compiles directionKeywords once into an
-// Aho-Corasick automaton (Aho & Corasick, CACM 1975) lowered to a dense
-// byte-level DFA: classification is then a single left-to-right pass over
-// the text — one table lookup per input byte — that discovers every keyword
-// occurrence of every direction simultaneously, with zero steady-state
-// allocations when driven through a reusable ClassifyScratch.
+// Aho-Corasick automaton (Aho & Corasick, CACM 1975) lowered to a byte-class
+// DFA: classification is then a single left-to-right pass over the text —
+// one class lookup and one table load per input byte — that discovers every
+// keyword occurrence of every direction simultaneously, with zero
+// steady-state allocations when driven through a reusable ClassifyScratch.
 //
-// Normalization is fused into the scan. The reference semantics match on
-// normalize(desc) = strings.Join(strings.Fields(strings.ToLower(desc)), " ");
-// for pure-ASCII input (every generated corpus entry and all but the
-// pathological catalog descriptions) the scanner lowercases and collapses
-// whitespace on the fly, byte for byte identical to the reference, without
-// materializing the normalized string. Non-ASCII input falls back to
-// normalizing first — correctness is pinned by the equivalence tests, which
-// drive both paths against the strings.Contains reference.
+// The table has one column per byte class, not per byte. Every distinct
+// keyword byte gets a column; ASCII uppercase shares the column of its
+// lowercase letter; every other ASCII byte shares one column that sends each
+// state to the root; non-ASCII bytes share an abort column. With ~30 classes
+// the whole table is a few tens of KB and stays in L1.
+//
+// Normalization is compiled into the table too. The reference semantics
+// match on normalize(desc) = strings.Join(strings.Fields(strings.ToLower(desc)), " ").
+// All six ASCII whitespace bytes map to the space column, and every state
+// entered by a space (the root included) loops to itself on further
+// whitespace, so a whitespace run acts as the single separating space of the
+// normalized text and leading or trailing runs leave no trace. That is exact
+// only if no keyword starts or ends with whitespace, holds a run of it or
+// holds whitespace other than ' ' — buildClassifier panics on a scheme that
+// breaks this. Non-ASCII input aborts the scan and is rescanned in its
+// materialized normalized form with a second class map that gives
+// non-ASCII keyword bytes their columns. The equivalence tests and the fuzz
+// target drive both paths against the strings.Contains reference.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -34,6 +45,14 @@ import (
 
 // numDirections is the fixed direction alphabet of the study.
 const numDirections = 5
+
+// The fixed byte classes; keyword bytes other than ' ' take the columns
+// after them.
+const (
+	colOther = 0 // bytes no keyword holds: every state goes to the root
+	colAbort = 1 // non-ASCII bytes on the folded pass: the abort state
+	colSpace = 2 // ' ' and, on the folded pass, the other ASCII whitespace
+)
 
 // pattern is one compiled keyword: its direction (canonical index), weight,
 // and original spelling (for Classification.Matched).
@@ -48,10 +67,18 @@ type pattern struct {
 // are safe for concurrent use because matching only reads the tables —
 // all per-call state lives in the caller's ClassifyScratch.
 type Classifier struct {
-	// next is the dense DFA: next[state*256+b] is the successor of state on
-	// input byte b, with goto and failure transitions pre-resolved so the
-	// scan never chases fail links.
-	next []int32
+	// trans is the byte-class DFA with goto and failure transitions
+	// pre-resolved. Rows are premultiplied: a state's row is state<<shift,
+	// and trans[row+class] is the successor's row, negated when the
+	// successor recognizes patterns or is the abort state.
+	trans []int32
+	shift uint
+	// abort is the negated row of the abort state.
+	abort int32
+	// fold maps raw input bytes to classes, folding ASCII case and
+	// whitespace and sending non-ASCII bytes to colAbort. exact maps bytes
+	// of already-normalized text, non-ASCII keyword bytes included.
+	fold, exact [256]int32
 	// outStart[s]..outStart[s+1] indexes outPat: the patterns recognized
 	// when the scan stands in state s (own matches plus every suffix match
 	// inherited through the failure chain).
@@ -96,78 +123,132 @@ func (s *ClassifyScratch) begin(c *Classifier) {
 	}
 }
 
+// checkKeyword panics unless kw is non-empty and already in normalized
+// whitespace form — the precondition of the whitespace self-loop.
+func checkKeyword(kw string) {
+	if kw == "" || strings.Join(strings.Fields(kw), " ") != kw {
+		panic(fmt.Sprintf("core: keyword %q is empty or has leading, trailing, repeated or non-space whitespace", kw))
+	}
+}
+
 // buildClassifier compiles the weighted keyword scheme into the automaton.
 // Construction order is deterministic: directions in canonical order,
 // keywords sorted within each direction, so pattern IDs — and therefore
 // every downstream artifact — never depend on map iteration order.
 func buildClassifier(scheme map[catalog.Direction]map[string]float64) *Classifier {
 	c := &Classifier{}
+	maxStates := 1
 	for di, dir := range catalog.Directions() {
 		kws := make([]string, 0, len(scheme[dir]))
 		for kw := range scheme[dir] {
+			checkKeyword(kw)
 			kws = append(kws, kw)
 		}
 		sort.Strings(kws)
 		for _, kw := range kws {
-			c.pats = append(c.pats, pattern{dir: int8(di), weight: scheme[dir][kw], kw: kw})
+			p := pattern{dir: int8(di), weight: scheme[dir][kw], kw: kw}
+			c.pats = append(c.pats, p)
+			maxStates += len(kw)
 		}
 	}
-
-	// Trie of all patterns over the byte alphabet.
-	type node struct {
-		child [256]int32 // 0 = absent (state 0 is the root, never a child)
-		fail  int32
-		own   []int32 // pattern IDs ending exactly here
+	// Byte classes: one column per distinct keyword byte, in first-use order.
+	var col [256]int32 // colOther for bytes no keyword holds
+	col[' '] = colSpace
+	width := int32(colSpace + 1)
+	for _, p := range c.pats {
+		for i := 0; i < len(p.kw); i++ {
+			if b := p.kw[i]; col[b] == colOther {
+				col[b] = width
+				width++
+			}
+		}
 	}
-	nodes := []*node{new(node)}
+	for b := 0; b < 256; b++ {
+		switch {
+		case b >= 0x80:
+			c.fold[b], c.exact[b] = colAbort, col[b]
+		case isASCIISpace(byte(b)):
+			c.fold[b], c.exact[b] = colSpace, colSpace
+		default:
+			c.fold[b] = col[lowerASCII(byte(b))]
+			c.exact[b] = c.fold[b]
+		}
+	}
+	for 1<<c.shift < width {
+		c.shift++
+	}
+
+	// Trie over classes, laid straight into the transition table: a zero
+	// entry is an absent edge (state 0 is the root, never a child). One
+	// spare row is kept for the abort state.
+	next := make([]int32, (maxStates+1)<<c.shift)
+	outs := make([][]int32, maxStates)
+	spaced := []int32{0} // states entered by a space, the root included
+	n := int32(1)
 	for pid, p := range c.pats {
 		s := int32(0)
 		for i := 0; i < len(p.kw); i++ {
-			b := p.kw[i]
-			if nodes[s].child[b] == 0 {
-				nodes = append(nodes, new(node))
-				nodes[s].child[b] = int32(len(nodes) - 1)
+			k := s<<c.shift + col[p.kw[i]]
+			if next[k] == 0 {
+				next[k] = n
+				if col[p.kw[i]] == colSpace {
+					spaced = append(spaced, n)
+				}
+				n++
 			}
-			s = nodes[s].child[b]
+			s = next[k]
 		}
-		nodes[s].own = append(nodes[s].own, int32(pid))
+		outs[s] = append(outs[s], int32(pid))
 	}
 
-	// BFS: failure links, inherited outputs, and the dense goto/fail-resolved
-	// transition table in one pass (fail(v) is always closer to the root, so
-	// its row and output list are complete before v is processed).
-	c.next = make([]int32, len(nodes)*256)
-	outs := make([][]int32, len(nodes))
-	queue := make([]int32, 0, len(nodes))
-	root := nodes[0]
-	for b := 0; b < 256; b++ {
-		if ch := root.child[b]; ch != 0 {
-			nodes[ch].fail = 0
+	// BFS: failure links, inherited outputs and the fail-resolved rows in
+	// one pass (fail(v) is always closer to the root, so its row and output
+	// list are complete before v is processed; v's own row still holds only
+	// its trie edges).
+	fail := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for k := int32(0); k < 1<<c.shift; k++ {
+		if ch := next[k]; ch != 0 {
 			queue = append(queue, ch)
 		}
-		c.next[b] = root.child[b] // root row: absent transitions stay at root
 	}
-	outs[0] = root.own
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
-		f := nodes[v].fail
-		outs[v] = append(append([]int32{}, nodes[v].own...), outs[f]...)
-		row := v * 256
-		frow := f * 256
-		for b := 0; b < 256; b++ {
-			if ch := nodes[v].child[b]; ch != 0 {
-				nodes[ch].fail = c.next[frow+int32(b)]
+		f := fail[v]
+		outs[v] = append(outs[v], outs[f]...)
+		row, frow := v<<c.shift, f<<c.shift
+		for k := int32(0); k < 1<<c.shift; k++ {
+			if ch := next[row+k]; ch != 0 {
+				fail[ch] = next[frow+k]
 				queue = append(queue, ch)
-				c.next[row+int32(b)] = ch
 			} else {
-				c.next[row+int32(b)] = c.next[frow+int32(b)]
+				next[row+k] = next[frow+k]
 			}
 		}
 	}
 
+	// Whitespace self-loops, the abort column, then premultiplied rows with
+	// the output flag.
+	abort := n
+	next = next[:(n+1)<<c.shift]
+	for _, s := range spaced {
+		next[s<<c.shift+colSpace] = s
+	}
+	for s := int32(0); s <= abort; s++ {
+		next[s<<c.shift+colAbort] = abort
+	}
+	for i, s := range next {
+		next[i] = s << c.shift
+		if s == abort || len(outs[s]) > 0 {
+			next[i] = -next[i]
+		}
+	}
+	c.trans = next
+	c.abort = -(abort << c.shift)
+
 	// Flatten the per-state output lists.
-	c.outStart = make([]int32, len(nodes)+1)
-	for s, o := range outs {
+	c.outStart = make([]int32, n+1)
+	for s, o := range outs[:n] {
 		c.outStart[s+1] = c.outStart[s] + int32(len(o))
 		c.outPat = append(c.outPat, o...)
 	}
@@ -200,57 +281,52 @@ func lowerASCII(b byte) byte {
 	return b
 }
 
-// step advances the DFA by one byte and records any pattern hits.
-func (c *Classifier) step(state int32, b byte, s *ClassifyScratch) int32 {
-	state = c.next[state*256+int32(b)]
-	for i := c.outStart[state]; i < c.outStart[state+1]; i++ {
-		pid := c.outPat[i]
+// emit records the patterns recognized in state st.
+func (c *Classifier) emit(st int32, s *ClassifyScratch) {
+	for _, pid := range c.outPat[c.outStart[st]:c.outStart[st+1]] {
 		if s.seen[pid] != s.epoch {
 			s.seen[pid] = s.epoch
 			s.fired = append(s.fired, pid)
 			s.Scores[c.pats[pid].dir] += c.pats[pid].weight
 		}
 	}
-	return state
 }
 
-// scanASCII runs the fused normalize-and-match pass over pure-ASCII text:
-// whitespace runs collapse to a single separating space (leading and
-// trailing runs vanish), uppercase folds to lowercase, and every
-// transformed byte advances the DFA. It reports false without completing
-// when it meets a non-ASCII byte.
-func (c *Classifier) scanASCII(text string, s *ClassifyScratch) bool {
-	state := int32(0)
-	pendingSpace := false
-	inWord := false
+// scan runs text through the DFA under the class map class, recording
+// every pattern hit. It reports false, without completing, when it reaches
+// the abort state.
+func scan[T string | []byte](c *Classifier, text T, class *[256]int32, s *ClassifyScratch) bool {
+	trans := c.trans
+	row := int32(0)
 	for i := 0; i < len(text); i++ {
-		b := text[i]
-		if b >= 0x80 {
-			return false
-		}
-		if isASCIISpace(b) {
-			if inWord {
-				pendingSpace = true
+		row = trans[row+class[text[i]]]
+		if row < 0 {
+			if row == c.abort {
+				return false
 			}
-			continue
+			row = -row
+			c.emit(row>>c.shift, s)
 		}
-		if pendingSpace {
-			state = c.step(state, ' ', s)
-			pendingSpace = false
-		}
-		inWord = true
-		state = c.step(state, lowerASCII(b), s)
 	}
 	return true
 }
 
-// scanNormalized matches pre-normalized text (already lowercased and
-// space-collapsed) byte by byte — the non-ASCII fallback path.
-func (c *Classifier) scanNormalized(text string, s *ClassifyScratch) {
-	state := int32(0)
-	for i := 0; i < len(text); i++ {
-		state = c.step(state, text[i], s)
+// classify is the kernel behind ClassifyInto and ClassifyBytes.
+func classify[T string | []byte](c *Classifier, desc T, s *ClassifyScratch) int {
+	s.begin(c)
+	if !scan(c, desc, &c.fold, s) {
+		// Non-ASCII input: rescan the materialized normalized form.
+		s.begin(c)
+		scan(c, normalize(string(desc)), &c.exact, s)
 	}
+	w := winner(&s.Scores)
+	s.nMatched = 0
+	for _, pid := range s.fired {
+		if int(c.pats[pid].dir) == w {
+			s.nMatched++
+		}
+	}
+	return w
 }
 
 // winner replicates the reference tie-break exactly: directions compete in
@@ -272,63 +348,23 @@ func winner(scores *[numDirections]float64) int {
 // allocations, returning the canonical index of the winning direction.
 // Scores and the matched set of the winning direction are left in s
 // (read them via s.Scores and MatchedAppend) until the next call.
+//
+// ClassifyInto and ClassifyBytes stay out of line: inlined into another
+// package, the call to the generic kernel loses its escape facts there and
+// moves the caller's scratch and buffer to the heap.
+//
+//go:noinline
 func (c *Classifier) ClassifyInto(desc string, s *ClassifyScratch) int {
-	s.begin(c)
-	if !c.scanASCII(desc, s) {
-		// Non-ASCII input: rerun over the materialized normalized form.
-		s.begin(c)
-		c.scanNormalized(normalize(desc), s)
-	}
-	w := winner(&s.Scores)
-	s.nMatched = 0
-	for _, pid := range s.fired {
-		if int(c.pats[pid].dir) == w {
-			s.nMatched++
-		}
-	}
-	return w
+	return classify(c, desc, s)
 }
 
 // ClassifyBytes is ClassifyInto over a byte slice — the corpus pipeline
 // classifies descriptions straight out of reused generation buffers without
 // converting them to strings. The scan never retains the slice.
+//
+//go:noinline
 func (c *Classifier) ClassifyBytes(desc []byte, s *ClassifyScratch) int {
-	s.begin(c)
-	state := int32(0)
-	pendingSpace := false
-	inWord := false
-	ascii := true
-	for i := 0; i < len(desc); i++ {
-		b := desc[i]
-		if b >= 0x80 {
-			ascii = false
-			break
-		}
-		if isASCIISpace(b) {
-			if inWord {
-				pendingSpace = true
-			}
-			continue
-		}
-		if pendingSpace {
-			state = c.step(state, ' ', s)
-			pendingSpace = false
-		}
-		inWord = true
-		state = c.step(state, lowerASCII(b), s)
-	}
-	if !ascii {
-		s.begin(c)
-		c.scanNormalized(normalize(string(desc)), s)
-	}
-	w := winner(&s.Scores)
-	s.nMatched = 0
-	for _, pid := range s.fired {
-		if int(c.pats[pid].dir) == w {
-			s.nMatched++
-		}
-	}
-	return w
+	return classify(c, desc, s)
 }
 
 // Matched reports how many distinct keywords of the winning direction the
@@ -353,14 +389,15 @@ func (c *Classifier) MatchedAppend(dst []string, w int, s *ClassifyScratch) []st
 // Patterns returns the number of compiled keywords.
 func (c *Classifier) Patterns() int { return len(c.pats) }
 
-// States returns the number of DFA states (diagnostics and tests).
+// States returns the number of DFA states, the abort state excluded
+// (diagnostics and tests).
 func (c *Classifier) States() int { return len(c.outStart) - 1 }
 
 // SchemeFingerprint is the stable identity of the compiled keyword scheme:
 // a SHA-256 over every (direction, keyword, weight) triple in canonical
-// order. The corpus engine folds it into its per-shard memo keys, so
-// editing directionKeywords invalidates every cached classification
-// aggregate automatically — no manual version bump to forget.
+// order. The corpus engine folds it into its per-shard memo keys, so editing
+// directionKeywords invalidates every cached classification aggregate
+// automatically — no manual version bump to forget.
 func SchemeFingerprint() string {
 	h := sha256.New()
 	for _, p := range Compiled().pats {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,24 +50,49 @@ func fuzzDescription(r *rng.Rand) string {
 	return b.String()
 }
 
-// The automaton must agree with the strings.Contains reference on every
-// input: direction, scores, and matched keywords.
-func TestAutomatonMatchesReference(t *testing.T) {
-	check := func(desc string) {
-		t.Helper()
-		got := ClassifyDescription(desc)
-		want := classifyDescriptionRef(desc)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("automaton diverges on %q:\n got %+v\nwant %+v", desc, got, want)
+// checkReference requires every entry to the automaton — the convenience
+// API, ClassifyInto and ClassifyBytes — to agree with the strings.Contains
+// reference on desc: direction, scores and matched keywords.
+func checkReference(t *testing.T, desc string) {
+	t.Helper()
+	want := classifyDescriptionRef(desc)
+	c := Compiled()
+	var s ClassifyScratch
+	for _, got := range []struct {
+		entry string
+		res   Classification
+	}{
+		{"ClassifyDescription", ClassifyDescription(desc)},
+		{"ClassifyInto", c.result(c.ClassifyInto(desc, &s), &s)},
+		{"ClassifyBytes", c.result(c.ClassifyBytes([]byte(desc), &s), &s)},
+	} {
+		if !reflect.DeepEqual(got.res, want) {
+			t.Fatalf("%s diverges on %q:\n got %+v\nwant %+v", got.entry, desc, got.res, want)
 		}
 	}
+}
+
+// The automaton must agree with the strings.Contains reference on every
+// input.
+func TestAutomatonMatchesReference(t *testing.T) {
 	for _, tool := range catalog.Default().Tools {
-		check(tool.Description)
+		checkReference(t, tool.Description)
 	}
 	r := rng.New(99)
 	for i := 0; i < 5000; i++ {
-		check(fuzzDescription(r))
+		checkReference(t, fuzzDescription(r))
 	}
+}
+
+// FuzzClassifyMatchesReference drives the byte path with arbitrary input.
+// Committed seeds under testdata/fuzz cover the whitespace and case folding
+// the table compiles in (tabs, CR/LF, whitespace runs inside a multi-word
+// keyword, mixed case) and the non-ASCII fallback (NBSP, en-dash).
+func FuzzClassifyMatchesReference(f *testing.F) {
+	for _, tool := range catalog.Default().Tools {
+		f.Add(tool.Description)
+	}
+	f.Fuzz(checkReference)
 }
 
 // The kernel path must agree with the convenience API, for strings and for
@@ -131,14 +158,85 @@ func TestClassifyIntoZeroAllocs(t *testing.T) {
 	for _, tool := range catalog.Default().Tools {
 		descs = append(descs, tool.Description)
 	}
+	bufs := make([][]byte, len(descs))
+	for i, d := range descs {
+		bufs[i] = []byte(d)
+	}
 	c.ClassifyInto(descs[0], &s) // warm the scratch
 	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
+	if allocs := testing.AllocsPerRun(1000, func() {
 		c.ClassifyInto(descs[i%len(descs)], &s)
 		i++
-	})
-	if allocs != 0 {
+	}); allocs != 0 {
 		t.Fatalf("ClassifyInto allocates %.1f times per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.ClassifyBytes(bufs[i%len(bufs)], &s)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("ClassifyBytes allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// The scheme fingerprint keys every corpus shard memo, the stores built on
+// them and the committed regress packs; computing it once with the tables
+// must not change its value.
+func TestSchemeFingerprintPinned(t *testing.T) {
+	const want = "763b98816b5556df57848d6133bdac3c6bf52c9930b284533bbdae7a10503822"
+	if got := SchemeFingerprint(); got != want {
+		t.Fatalf("SchemeFingerprint() = %s, want %s", got, want)
+	}
+}
+
+// A keyword that breaks the whitespace self-loop's precondition must be
+// rejected at build time, by name.
+func TestBuildClassifierRejectsWhitespaceKeywords(t *testing.T) {
+	for _, kw := range []string{"", " fog", "fog ", "decision  support", "decision\tsupport", "big\ndata"} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("%q", kw)) {
+					t.Errorf("keyword %q: panic %q does not name it", kw, msg)
+				}
+			}()
+			buildClassifier(map[catalog.Direction]map[string]float64{
+				catalog.Orchestration: {"deploy": 2, kw: 1},
+			})
+			t.Errorf("keyword %q: scheme accepted", kw)
+		}()
+	}
+}
+
+// A non-ASCII keyword never matches on the folded pass; it matches on the
+// normalized rescan, where its bytes have their own classes.
+func TestNonASCIIKeyword(t *testing.T) {
+	c := buildClassifier(map[catalog.Direction]map[string]float64{
+		catalog.EnergyEfficiency: {"café": 2, "green": 1},
+	})
+	var s ClassifyScratch
+	w := c.ClassifyInto("GREEN\tCAFÉ", &s)
+	if got := c.MatchedAppend(nil, w, &s); !reflect.DeepEqual(got, []string{"café", "green"}) {
+		t.Fatalf("matched %v, want [café green]", got)
+	}
+	if s.Scores[catalog.EnergyEfficiency.Index()] != 3 {
+		t.Fatalf("scores %v, want 3 for energy efficiency", s.Scores)
+	}
+}
+
+// The class table keeps the build small: one column per distinct keyword
+// byte plus three fixed classes, so the build allocates a fraction of what
+// a states×256 table would.
+func TestBuildClassifierFootprint(t *testing.T) {
+	c := Compiled()
+	if width := 1 << c.shift; width > 64 {
+		t.Fatalf("%d columns, want at most 64", width)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	buildClassifier(directionKeywords)
+	runtime.ReadMemStats(&m1)
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 256<<10 {
+		t.Fatalf("buildClassifier allocated %d B, want under 256 KiB", b)
 	}
 }
 

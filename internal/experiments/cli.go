@@ -34,6 +34,9 @@ type CLIOptions struct {
 	// <dir>/journal.jsonl. Packs are signed with the documented dev key;
 	// use cmd/runpack for custom keys.
 	Runpack string
+	// Metrics, with -run, appends the run's Prometheus-text telemetry
+	// (the Env's registry: exp, cas and shard counters) after the output.
+	Metrics bool
 }
 
 // Env builds the experiment environment the CLI contract promises: a
@@ -75,8 +78,19 @@ func RunCLI(reg *exp.Registry, o CLIOptions, out io.Writer) error {
 		return err
 	}
 	if o.Run == "all" {
-		return runAll(reg, env, o, out)
+		err = runAll(reg, env, o, out)
+	} else {
+		err = runOne(reg, env, o, out)
 	}
+	if err != nil || !o.Metrics {
+		return err
+	}
+	_, err = fmt.Fprintf(out, "\n# metrics (Prometheus text exposition)\n%s", env.Metrics.PromText())
+	return err
+}
+
+// runOne executes the single experiment o.Run and emits its Result.
+func runOne(reg *exp.Registry, env *exp.Env, o CLIOptions, out io.Writer) error {
 	res, err := reg.Run(context.Background(), env, o.Run)
 	if err != nil {
 		return err
