@@ -19,6 +19,7 @@ package continuum
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -148,6 +149,7 @@ type Topology struct {
 	nodeLinks   map[[2]string]Link
 	regionLinks map[[2]string]Link
 	defaultLink Link
+	shared      bool // the maps belong to a preset; copy them before a write
 }
 
 // NewTopology returns a topology with the given default link.
@@ -159,14 +161,25 @@ func NewTopology(def Link) *Topology {
 	}
 }
 
+// own gives t private copies of maps it shares with a preset.
+func (t *Topology) own() {
+	if t.shared {
+		t.nodeLinks = maps.Clone(t.nodeLinks)
+		t.regionLinks = maps.Clone(t.regionLinks)
+		t.shared = false
+	}
+}
+
 // SetNodeLink sets the link between two specific nodes (both directions).
 func (t *Topology) SetNodeLink(a, b string, l Link) {
+	t.own()
 	t.nodeLinks[[2]string{a, b}] = l
 	t.nodeLinks[[2]string{b, a}] = l
 }
 
 // SetRegionLink sets the link between two regions (both directions).
 func (t *Topology) SetRegionLink(a, b string, l Link) {
+	t.own()
 	t.regionLinks[[2]string{a, b}] = l
 	t.regionLinks[[2]string{b, a}] = l
 }
@@ -195,18 +208,35 @@ func (t *Topology) TransferSeconds(a, b *Node, size float64) float64 {
 
 // Infrastructure is a named set of nodes plus a topology.
 type Infrastructure struct {
-	nodes    map[string]*Node
-	order    []string
-	Topology *Topology
+	nodes       []*Node        // insertion order
+	index       map[string]int // node ID → position in nodes
+	sharedIndex bool           // index belongs to a preset; copy it before a write
+	Topology    *Topology
 }
 
 // NewInfrastructure returns an empty infrastructure with a default topology
 // (50 ms latency, 100 MB/s) so tests can start simple.
 func NewInfrastructure() *Infrastructure {
 	return &Infrastructure{
-		nodes:    map[string]*Node{},
+		index:    map[string]int{},
 		Topology: NewTopology(Link{LatencyS: 0.05, BandwidthBps: 100e6}),
 	}
+}
+
+// instance returns a copy of inf with fresh nodes, so its reservations are
+// its own, over inf's node index and topology maps. Those are read-only
+// until the copy adds a node or a link, which copies them first. Presets
+// build their prototype once and hand out instances.
+func (inf *Infrastructure) instance() *Infrastructure {
+	nodes := make([]Node, len(inf.nodes))
+	list := make([]*Node, len(inf.nodes))
+	for i, n := range inf.nodes {
+		nodes[i] = *n
+		list[i] = &nodes[i]
+	}
+	topo := *inf.Topology
+	topo.shared = true
+	return &Infrastructure{nodes: list, index: inf.index, sharedIndex: true, Topology: &topo}
 }
 
 // AddNode validates and registers a node. The node is stored by pointer;
@@ -215,30 +245,31 @@ func (inf *Infrastructure) AddNode(n *Node) error {
 	if err := n.Validate(); err != nil {
 		return err
 	}
-	if _, dup := inf.nodes[n.ID]; dup {
+	if _, dup := inf.index[n.ID]; dup {
 		return fmt.Errorf("continuum: duplicate node %q", n.ID)
 	}
-	inf.nodes[n.ID] = n
-	inf.order = append(inf.order, n.ID)
+	if inf.sharedIndex {
+		inf.index = maps.Clone(inf.index)
+		inf.sharedIndex = false
+	}
+	inf.index[n.ID] = len(inf.nodes)
+	inf.nodes = append(inf.nodes, n)
 	return nil
 }
 
 // Node returns a node by ID.
 func (inf *Infrastructure) Node(id string) (*Node, error) {
-	n, ok := inf.nodes[id]
+	i, ok := inf.index[id]
 	if !ok {
 		return nil, fmt.Errorf("continuum: unknown node %q", id)
 	}
-	return n, nil
+	return inf.nodes[i], nil
 }
 
-// Nodes returns all nodes in insertion order.
+// Nodes returns all nodes in insertion order. The slice is the
+// infrastructure's own and must not be modified.
 func (inf *Infrastructure) Nodes() []*Node {
-	out := make([]*Node, 0, len(inf.order))
-	for _, id := range inf.order {
-		out = append(out, inf.nodes[id])
-	}
-	return out
+	return inf.nodes[:len(inf.nodes):len(inf.nodes)]
 }
 
 // NodesByKind returns the nodes of one tier, in insertion order.
@@ -313,13 +344,17 @@ func (inf *Infrastructure) IdlePowerW() float64 {
 // SortedByFreeCores returns node IDs ordered by free cores descending
 // (ties by ID, for determinism).
 func (inf *Infrastructure) SortedByFreeCores() []string {
-	ids := append([]string(nil), inf.order...)
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := inf.nodes[ids[i]], inf.nodes[ids[j]]
+	nodes := append([]*Node(nil), inf.nodes...)
+	sort.Slice(nodes, func(i, j int) bool {
+		a, b := nodes[i], nodes[j]
 		if a.FreeCores() != b.FreeCores() {
 			return a.FreeCores() > b.FreeCores()
 		}
-		return ids[i] < ids[j]
+		return a.ID < b.ID
 	})
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
 	return ids
 }

@@ -226,7 +226,50 @@ func TestSortedByFreeCores(t *testing.T) {
 		t.Errorf("first = %s, want hpc-1", ids[0])
 	}
 	last := ids[len(ids)-1]
-	if last != "hpc-0" && inf.nodes[last].FreeCores() > 0 {
-		t.Errorf("last = %s with %d free", last, inf.nodes[last].FreeCores())
+	if n, _ := inf.Node(last); last != "hpc-0" && n.FreeCores() > 0 {
+		t.Errorf("last = %s with %d free", last, n.FreeCores())
+	}
+}
+
+// A Testbed is a handful of allocations: fresh nodes over the preset's
+// shared node index and topology maps.
+func TestTestbedAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Testbed() }); n > 4 {
+		t.Errorf("Testbed allocates %v times, want at most 4", n)
+	}
+}
+
+// Preset instances share nothing mutable: reservations, added nodes and
+// links on one instance are invisible to the next.
+func TestTestbedInstancesAreIndependent(t *testing.T) {
+	a := Testbed()
+	if err := a.Reserve("hpc-0", 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddNode(validNode("extra")); err != nil {
+		t.Fatal(err)
+	}
+	a.Topology.SetRegionLink("hpc-centre", "edge-site", Link{LatencyS: 9, BandwidthBps: 1})
+	a.Topology.SetNodeLink("hpc-0", "edge-0", Link{LatencyS: 7, BandwidthBps: 1})
+
+	b := Testbed()
+	if got := b.FreeCores(); got != 2*64+3*32+5*4 {
+		t.Errorf("fresh testbed has %d free cores", got)
+	}
+	if _, err := b.Node("extra"); err == nil || len(b.Nodes()) != 10 {
+		t.Errorf("node added to one instance leaked into another (%d nodes)", len(b.Nodes()))
+	}
+	hpc, _ := b.Node("hpc-0")
+	edge, _ := b.Node("edge-0")
+	if l := b.Topology.LinkBetween(hpc, edge); l.LatencyS != 0.045 {
+		t.Errorf("fresh testbed hpc-0→edge-0 latency %v, want 0.045", l.LatencyS)
+	}
+	ahpc, _ := a.Node("hpc-0")
+	aedge, _ := a.Node("edge-1")
+	if l := a.Topology.LinkBetween(ahpc, aedge); l.LatencyS != 9 {
+		t.Errorf("modified instance hpc-0→edge-1 latency %v, want 9", l.LatencyS)
+	}
+	if ahpc == hpc {
+		t.Error("instances share node values")
 	}
 }

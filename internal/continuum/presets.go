@@ -1,10 +1,16 @@
 package continuum
 
+import "sync"
+
 // Presets build the reference infrastructures used by examples, tests and
 // benchmarks. The numbers are representative of the environments the paper
 // discusses: a Leonardo-class HPC partition, commercial cloud regions, and
 // constrained edge gateways. Only relative magnitudes matter for the
 // reproduced experiments.
+//
+// Each preset is built once; every call returns a fresh instance of it
+// (own nodes and reservations, copy-on-write node index and topology), so
+// callers may reserve, add nodes or set links without affecting others.
 
 // Testbed returns a three-tier continuum:
 //
@@ -13,7 +19,9 @@ package continuum
 //   - 5 Edge nodes  (4 cores, slow, very low power, close to the data)
 //
 // plus a topology with realistic tier-to-tier latencies and bandwidths.
-func Testbed() *Infrastructure {
+func Testbed() *Infrastructure { return testbed().instance() }
+
+var testbed = sync.OnceValue(func() *Infrastructure {
 	inf := NewInfrastructure()
 	add := func(n *Node) {
 		if err := inf.AddNode(n); err != nil {
@@ -51,11 +59,13 @@ func Testbed() *Infrastructure {
 	t.SetRegionLink("cloud-region", "edge-site", Link{LatencyS: 0.030, BandwidthBps: 50e6})
 	t.SetRegionLink("hpc-centre", "edge-site", Link{LatencyS: 0.045, BandwidthBps: 25e6})
 	return inf
-}
+})
 
 // EdgeCloudTestbed returns a two-tier infrastructure (no HPC) used by the
 // FaaS experiments: 4 edge nodes near users and 2 cloud nodes behind a WAN.
-func EdgeCloudTestbed() *Infrastructure {
+func EdgeCloudTestbed() *Infrastructure { return edgeCloudTestbed().instance() }
+
+var edgeCloudTestbed = sync.OnceValue(func() *Infrastructure {
 	inf := NewInfrastructure()
 	add := func(n *Node) {
 		if err := inf.AddNode(n); err != nil {
@@ -81,7 +91,7 @@ func EdgeCloudTestbed() *Infrastructure {
 	t.SetRegionLink("cloud-region", "cloud-region", Link{LatencyS: 0.001, BandwidthBps: 1e9})
 	t.SetRegionLink("edge-site", "cloud-region", Link{LatencyS: 0.040, BandwidthBps: 50e6})
 	return inf
-}
+})
 
 func nodeID(prefix string, i int) string {
 	return prefix + "-" + string(rune('0'+i))

@@ -18,6 +18,7 @@ package corpus
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -68,6 +69,16 @@ var fillerVocab = [...]string{
 	"vestibule", "zephyr", "gossamer",
 }
 
+// keywordVocab is the per-direction sorted keyword lists in canonical
+// order. The scheme is fixed, so the lists are sorted once and shared
+// read-only by every Generator.
+var keywordVocab = sync.OnceValue(func() (v [5][]string) {
+	for i, d := range catalog.Directions() {
+		v[i] = core.KeywordsFor(d)
+	}
+	return v
+})
+
 // Generator produces the entries of one corpus. It is immutable after
 // construction and safe for concurrent use: all per-entry state lives in
 // the caller's buffers and a stack-local RNG.
@@ -82,10 +93,7 @@ type Generator struct {
 
 // NewGenerator compiles a generator for the spec and root seed.
 func NewGenerator(spec Spec, seed int64) *Generator {
-	g := &Generator{spec: spec, seed: seed}
-	for i, d := range catalog.Directions() {
-		g.vocab[i] = core.KeywordsFor(d)
-	}
+	g := &Generator{spec: spec, seed: seed, vocab: keywordVocab()}
 	mix := spec.Mix
 	total := 0.0
 	for _, w := range mix {

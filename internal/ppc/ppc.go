@@ -17,6 +17,7 @@ import (
 	"io"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/stream"
@@ -222,13 +223,20 @@ func partition(files []File, blockSize int) [][]File {
 // serialize concatenates a block's files with a length-prefixed framing so
 // decompression can recover file boundaries.
 func serialize(files []File) []byte {
-	var buf bytes.Buffer
+	n := 0
 	for _, f := range files {
-		fmt.Fprintf(&buf, "%d %d\n", len(f.Name), len(f.Data))
-		buf.WriteString(f.Name)
-		buf.Write(f.Data)
+		n += 2*20 + 2 + len(f.Name) + len(f.Data) // two decimal ints, ' ', '\n'
 	}
-	return buf.Bytes()
+	buf := make([]byte, 0, n)
+	for _, f := range files {
+		buf = strconv.AppendInt(buf, int64(len(f.Name)), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(len(f.Data)), 10)
+		buf = append(buf, '\n')
+		buf = append(buf, f.Name...)
+		buf = append(buf, f.Data...)
+	}
+	return buf
 }
 
 // deserialize reverses serialize.
@@ -256,19 +264,53 @@ func deserialize(data []byte) ([]File, error) {
 	return out, nil
 }
 
-func compressBlock(raw []byte, level int) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
-	if err != nil {
+// blockWriter is a flate writer bound to its own output buffer. A reset
+// writer is equivalent to a fresh flate.NewWriter (compress/flate documents
+// Reset so), so reusing one leaves every archive byte unchanged.
+type blockWriter struct {
+	w   *flate.Writer
+	out bytes.Buffer
+}
+
+// writerSet lends flate writers to the workers of one Compress call. A
+// compressor is about 1 MB, so allocating one per block dominated the cost
+// of compressing small blocks; a worker now resets an idle writer and
+// allocates only when every writer is busy. The set holds at most one
+// writer per worker and dies with the call, so nothing stays resident
+// between calls.
+type writerSet struct {
+	level int // validated
+	idle  chan *blockWriter
+}
+
+func newWriterSet(level, workers int) *writerSet {
+	return &writerSet{level: level, idle: make(chan *blockWriter, workers)}
+}
+
+// compress deflates raw into a new slice of exactly the compressed length.
+func (ws *writerSet) compress(raw []byte) ([]byte, error) {
+	var bw *blockWriter
+	select {
+	case bw = <-ws.idle:
+		bw.out.Reset()
+		bw.w.Reset(&bw.out)
+	default:
+		bw = new(blockWriter)
+		w, err := flate.NewWriter(&bw.out, ws.level)
+		if err != nil {
+			return nil, err
+		}
+		bw.w = w
+	}
+	if _, err := bw.w.Write(raw); err != nil {
 		return nil, err
 	}
-	if _, err := w.Write(raw); err != nil {
+	if err := bw.w.Close(); err != nil {
 		return nil, err
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	comp := bytes.Clone(bw.out.Bytes())
+	ws.idle <- bw // never blocks: at most one writer per worker exists
+	return comp, nil
 }
 
 func decompressBlock(comp []byte) ([]byte, error) {
@@ -297,10 +339,11 @@ func Compress(ctx context.Context, files []File, perm Permutation, opts Options)
 	for i, b := range blocks {
 		jobs[i] = job{i, b}
 	}
+	writers := newWriterSet(opts.Level, opts.Workers)
 	src := stream.FromSlice(ctx, jobs)
 	results := stream.Map(src, func(j job) Block {
 		raw := serialize(j.files)
-		comp, err := compressBlock(raw, opts.Level)
+		comp, err := writers.compress(raw)
 		if err != nil {
 			// flate only errors on invalid levels, validated above; keep
 			// the block uncompressed as a defensive fallback.

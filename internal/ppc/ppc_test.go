@@ -1,11 +1,16 @@
 package ppc
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
-	"repro/internal/rng"
+	"io"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func corpus(t *testing.T) []File {
@@ -201,4 +206,72 @@ func TestSyntheticCorpusDeterministic(t *testing.T) {
 	if names[0] == names[1] {
 		t.Error("duplicate names")
 	}
+}
+
+// Reused writers must emit exactly the bytes a fresh flate.NewWriter emits.
+// With one worker every block after the first is compressed by a reset
+// writer, and each level compresses twice in a row.
+func TestReusedWritersMatchFreshWriters(t *testing.T) {
+	files := corpus(t)
+	opts := Options{BlockSize: 8 << 10, Workers: 1}
+	blocks := partition(ByName{}.Apply(files), opts.BlockSize)
+	if len(blocks) < 2 {
+		t.Fatalf("%d blocks: no block would reuse a writer", len(blocks))
+	}
+	for _, level := range []int{flate.HuffmanOnly, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression} {
+		opts.Level = level
+		for run := 0; run < 2; run++ {
+			a, err := Compress(context.Background(), files, ByName{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Blocks) != len(blocks) {
+				t.Fatalf("level %d: %d blocks, want %d", level, len(a.Blocks), len(blocks))
+			}
+			for i, b := range a.Blocks {
+				var fresh bytes.Buffer
+				w, err := flate.NewWriter(&fresh, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Write(serialize(blocks[i]))
+				w.Close()
+				if !bytes.Equal(b.Compressed, fresh.Bytes()) {
+					t.Fatalf("level %d run %d block %d: reused writer diverged from a fresh one", level, run, i)
+				}
+			}
+		}
+	}
+}
+
+// Compress resets its writers instead of allocating a compressor (about
+// 1 MB at the default level) for each block: a single-worker call over
+// many blocks allocates less than two compressors do.
+func TestCompressReusesCompressors(t *testing.T) {
+	files := corpus(t)
+	opts := Options{BlockSize: 8 << 10, Workers: 1}
+	compress := func() {
+		if _, err := Compress(context.Background(), files, ByName{}, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compressor := allocatedBytes(func() { flate.NewWriter(io.Discard, flate.DefaultCompression) })
+	const runs = 5
+	perCall := allocatedBytes(func() {
+		for i := 0; i < runs; i++ {
+			compress()
+		}
+	}) / runs
+	if perCall >= 2*compressor {
+		t.Fatalf("Compress allocates %d B per call, a compressor is %d B", perCall, compressor)
+	}
+}
+
+// allocatedBytes returns the bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -20,7 +20,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/bigdata"
 	"repro/internal/capio"
@@ -37,10 +39,8 @@ import (
 	"repro/internal/mlir"
 	"repro/internal/netlink"
 	"repro/internal/orchestrator"
-	"repro/internal/par"
 	"repro/internal/pmu"
 	"repro/internal/ppc"
-	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/survey"
 	"repro/internal/workflow"
@@ -1217,24 +1217,34 @@ type PerturbSurvey struct {
 
 func (PerturbSurvey) Kind() string { return "perturb-survey" }
 
+// recorded is the paper's recorded survey over the default catalog, with
+// its selection set.
+type recorded struct {
+	survey     *survey.Survey
+	selections survey.Selections
+}
+
+// recordedSurvey builds the recorded survey once per process and shares it
+// with every PerturbSurvey configuration: it is pure, and read-only because
+// catalog, survey and selection methods do not mutate.
+var recordedSurvey = sync.OnceValues(func() (recorded, error) {
+	base, err := survey.Run(catalog.Default(), survey.RecordedRespondent{})
+	if err != nil {
+		return recorded{}, err
+	}
+	return recorded{base, base.Selections()}, nil
+})
+
 // flipRespondent perturbs the recorded selections positionally.
 type flipRespondent struct {
 	prob float64
 	seed int64
 }
 
-func (f flipRespondent) Respond(app *catalog.Application, tools []catalog.Tool) (Response survey.Response, err error) {
-	base, err := survey.RecordedRespondent{}.Respond(app, tools)
-	if err != nil {
-		return survey.Response{}, err
-	}
-	selected := map[string]bool{}
-	for _, t := range base.Tools {
-		selected[t] = true
-	}
+func (f flipRespondent) Respond(app *catalog.Application, tools []catalog.Tool) (survey.Response, error) {
 	var out []string
 	for _, t := range tools {
-		in := selected[t.Name]
+		in := slices.Contains(app.SelectedTools, t.Name)
 		if hashUniform(f.seed, app.ID, t.Name) < f.prob {
 			in = !in
 		}
@@ -1244,18 +1254,17 @@ func (f flipRespondent) Respond(app *catalog.Application, tools []catalog.Tool) 
 	}
 	if len(out) == 0 {
 		// A provider always selects something; keep the recorded answer.
-		out = base.Tools
+		out = append(out, app.SelectedTools...)
 	}
 	return survey.Response{ApplicationID: app.ID, Tools: out}, nil
 }
 
 func (op PerturbSurvey) Apply(ctx context.Context, env *exp.Env, st *State) error {
-	c := catalog.Default()
-	base, err := survey.Run(c, survey.RecordedRespondent{})
+	base, err := recordedSurvey()
 	if err != nil {
 		return err
 	}
-	perturbed, err := survey.Run(c, flipRespondent{prob: op.FlipProb, seed: env.SeedFor(op.Stream)})
+	perturbed, err := survey.Run(base.survey.Catalog, flipRespondent{prob: op.FlipProb, seed: env.SeedFor(op.Stream)})
 	if err != nil {
 		return err
 	}
@@ -1272,12 +1281,8 @@ func (op PerturbSurvey) Apply(ctx context.Context, env *exp.Env, st *State) erro
 		return fmt.Errorf("vote conservation violated: checkmarks=%d tool-sum=%d direction-total=%d",
 			checkmarks, voteSum, dist.Total())
 	}
-	agreement, err := survey.Agreement(base, perturbed)
-	if err != nil {
-		return err
-	}
 	st.Observe("survey.checkmarks", float64(checkmarks))
-	st.Observe("survey.agreement", agreement)
+	st.Observe("survey.agreement", base.selections.Jaccard(perturbed.Selections()))
 	return nil
 }
 
@@ -1321,8 +1326,3 @@ func (op MutateCorpus) Apply(ctx context.Context, env *exp.Env, st *State) error
 	st.Observe("corpus.accuracy", float64(correct)/float64(classified))
 	return nil
 }
-
-// seededPlacementRng keeps rng and par imported for the ops above that
-// document their seeding discipline.
-var _ = rng.New
-var _ = par.SplitSeed

@@ -262,28 +262,45 @@ func Agreement(a, b *Survey) (float64, error) {
 	if a.Catalog != b.Catalog && a.Catalog.String() != b.Catalog.String() {
 		return 0, errors.New("survey: surveys over different catalogs")
 	}
-	type pair struct{ app, tool string }
-	setOf := func(s *Survey) map[pair]bool {
-		m := map[pair]bool{}
-		for _, r := range s.Responses {
-			for _, t := range r.Tools {
-				m[pair{r.ApplicationID, t}] = true
-			}
-		}
-		return m
+	return a.Selections().Jaccard(b.Selections()), nil
+}
+
+// selection is one (application, tool) checkmark.
+type selection struct{ app, tool string }
+
+// Selections is the set of (application, tool) selections of one survey,
+// the operand of Agreement. A caller comparing many surveys against one
+// baseline builds the baseline's set once; the set is read-only.
+type Selections map[selection]struct{}
+
+// Selections returns the survey's selection set.
+func (s *Survey) Selections() Selections {
+	n := 0
+	for _, r := range s.Responses {
+		n += len(r.Tools)
 	}
-	sa, sb := setOf(a), setOf(b)
-	inter, union := 0, 0
-	for p := range sa {
-		if sb[p] {
+	m := make(Selections, n)
+	for _, r := range s.Responses {
+		for _, t := range r.Tools {
+			m[selection{r.ApplicationID, t}] = struct{}{}
+		}
+	}
+	return m
+}
+
+// Jaccard returns |a ∩ b| / |a ∪ b|, or 1 when both sets are empty.
+func (a Selections) Jaccard(b Selections) float64 {
+	inter := 0
+	for p := range a {
+		if _, ok := b[p]; ok {
 			inter++
 		}
 	}
-	union = len(sa) + len(sb) - inter
+	union := len(a) + len(b) - inter
 	if union == 0 {
-		return 1, nil
+		return 1
 	}
-	return float64(inter) / float64(union), nil
+	return float64(inter) / float64(union)
 }
 
 func newDirectionDist() *stats.CategoricalDist {
