@@ -32,11 +32,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# Native fuzzing on a fixed 10 s budget: the compiled classifier's byte
-# path against the strings.Contains reference. The committed seeds under
-# internal/core/testdata/fuzz also run as plain tests in `make test`.
+# Native fuzzing on a fixed 10 s budget per target: the compiled
+# classifier's byte path against the strings.Contains reference, and the
+# two-stream kernel against two single-text calls. -fuzz takes one target
+# per package per call. The committed seeds under internal/core/testdata/fuzz
+# also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyMatchesReference$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifyPairMatchesSingle$$' -fuzztime 10s ./internal/core
 
 race:
 	$(GO) test -race ./...
@@ -229,10 +232,11 @@ bench-runpack:
 
 # The corpus-at-scale hot paths gated by bench-gate: the compiled keyword
 # automaton (must stay allocation-free) against its strings.Contains
-# baseline, raw corpus generation, one shard body, and the cold and warm
-# sharded pipelines. Allocation counts on all of these are deterministic,
-# so the 10% alloc gate effectively pins them exactly.
-CORPUS_BENCH_RE = (ClassifyKernel(Baseline)?|ClassifyDescription|CorpusGen|CorpusShard|CorpusClassify(Sharded|Warm))$$
+# baseline, its two-stream form, raw corpus generation, one shard body,
+# and the cold and warm sharded pipelines. Allocation counts on all of
+# these are deterministic, so the 10% alloc gate effectively pins them
+# exactly.
+CORPUS_BENCH_RE = (ClassifyKernel(Baseline)?|ClassifyDescription|ClassifyPair|CorpusGen|CorpusShard|CorpusClassify(Sharded|Warm))$$
 CORPUS_BENCH_PKGS = ./internal/core ./internal/corpus
 
 # Refresh the committed corpus-benchmark baseline (BENCH_corpus.json).

@@ -54,3 +54,23 @@ func BenchmarkClassifyDescription(b *testing.B) {
 		ClassifyDescription(descs[i%len(descs)])
 	}
 }
+
+// BenchmarkClassifyPair measures the two-stream kernel: one op classifies
+// a pair of catalog descriptions (so half its ns/op is the per-document
+// cost to set against BenchmarkClassifyKernel), zero allocations.
+func BenchmarkClassifyPair(b *testing.B) {
+	descs := benchDescs()
+	bs := make([][]byte, len(descs))
+	for i, d := range descs {
+		bs[i] = []byte(d)
+	}
+	c := Compiled()
+	var sa, sb ClassifyScratch
+	c.ClassifyPair(bs[0], bs[1], &sa, &sb)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 2 * i % len(bs)
+		c.ClassifyPair(bs[j], bs[(j+1)%len(bs)], &sa, &sb)
+	}
+}

@@ -292,12 +292,11 @@ func (c *Classifier) emit(st int32, s *ClassifyScratch) {
 	}
 }
 
-// scan runs text through the DFA under the class map class, recording
-// every pattern hit. It reports false, without completing, when it reaches
-// the abort state.
-func scan[T string | []byte](c *Classifier, text T, class *[256]int32, s *ClassifyScratch) bool {
+// scan runs text through the DFA under the class map class, starting in
+// the (non-negative) row, recording every pattern hit. It reports false,
+// without completing, when it reaches the abort state.
+func scan[T string | []byte](c *Classifier, text T, class *[256]int32, row int32, s *ClassifyScratch) bool {
 	trans := c.trans
-	row := int32(0)
 	for i := 0; i < len(text); i++ {
 		row = trans[row+class[text[i]]]
 		if row < 0 {
@@ -311,14 +310,25 @@ func scan[T string | []byte](c *Classifier, text T, class *[256]int32, s *Classi
 	return true
 }
 
+// rescan classifies desc afresh from its materialized normalized form —
+// the fallback for non-ASCII input, which aborts the folded scan.
+func rescan[T string | []byte](c *Classifier, desc T, s *ClassifyScratch) {
+	s.begin(c)
+	scan(c, normalize(string(desc)), &c.exact, 0, s)
+}
+
 // classify is the kernel behind ClassifyInto and ClassifyBytes.
 func classify[T string | []byte](c *Classifier, desc T, s *ClassifyScratch) int {
 	s.begin(c)
-	if !scan(c, desc, &c.fold, s) {
-		// Non-ASCII input: rescan the materialized normalized form.
-		s.begin(c)
-		scan(c, normalize(string(desc)), &c.exact, s)
+	if !scan(c, desc, &c.fold, 0, s) {
+		rescan(c, desc, s)
 	}
+	return c.finish(s)
+}
+
+// finish picks the winning direction of the document scanned into s and
+// counts its distinct matched keywords.
+func (c *Classifier) finish(s *ClassifyScratch) int {
 	w := winner(&s.Scores)
 	s.nMatched = 0
 	for _, pid := range s.fired {
@@ -327,6 +337,23 @@ func classify[T string | []byte](c *Classifier, desc T, s *ClassifyScratch) int 
 		}
 	}
 	return w
+}
+
+// resume completes the folded scan of text from byte i in row, where row
+// is the raw table entry the byte before i led to: negative when that
+// state recognizes patterns still to record, or the abort state.
+func (c *Classifier) resume(text []byte, i int, row int32, s *ClassifyScratch) {
+	if row < 0 {
+		if row == c.abort {
+			rescan(c, text, s)
+			return
+		}
+		row = -row
+		c.emit(row>>c.shift, s)
+	}
+	if !scan(c, text[i:], &c.fold, row, s) {
+		rescan(c, text, s)
+	}
 }
 
 // winner replicates the reference tie-break exactly: directions compete in
@@ -365,6 +392,49 @@ func (c *Classifier) ClassifyInto(desc string, s *ClassifyScratch) int {
 //go:noinline
 func (c *Classifier) ClassifyBytes(desc []byte, s *ClassifyScratch) int {
 	return classify(c, desc, s)
+}
+
+// ClassifyPair classifies two descriptions at once: exactly two
+// ClassifyBytes calls, a into sa and b into sb, returning both winners.
+// The texts walk the same table in lockstep over their common length, so
+// the two chains of dependent table loads overlap instead of running back
+// to back; the longer tail then finishes on its own, and a text holding
+// non-ASCII bytes falls back to the single-text rescan. sa and sb must be
+// distinct. Interleaving four texts measured no faster than two.
+//
+// Like ClassifyBytes it stays out of line so the callers' scratch and
+// buffers stay on their stacks.
+//
+//go:noinline
+func (c *Classifier) ClassifyPair(a, b []byte, sa, sb *ClassifyScratch) (int, int) {
+	sa.begin(c)
+	sb.begin(c)
+	trans, fold := c.trans, &c.fold
+	n := min(len(a), len(b))
+	ha, hb := a[:n], b[:n]
+	ra, rb := int32(0), int32(0)
+	i := 0
+	for i < len(ha) {
+		ra = trans[ra+fold[ha[i]]]
+		rb = trans[rb+fold[hb[i]]]
+		i++
+		if ra|rb < 0 {
+			if ra == c.abort || rb == c.abort {
+				break
+			}
+			if ra < 0 {
+				ra = -ra
+				c.emit(ra>>c.shift, sa)
+			}
+			if rb < 0 {
+				rb = -rb
+				c.emit(rb>>c.shift, sb)
+			}
+		}
+	}
+	c.resume(a, i, ra, sa)
+	c.resume(b, i, rb, sb)
+	return c.finish(sa), c.finish(sb)
 }
 
 // Matched reports how many distinct keywords of the winning direction the

@@ -131,12 +131,13 @@ type RunStats struct {
 	ShardsCached int
 }
 
-// shardScratch is the pooled working set of one in-flight shard body: the
-// classifier scratch and the description buffer, reused across shards and
-// across whole runs.
+// shardScratch is the pooled working set of one in-flight shard body: a
+// classifier scratch and a description buffer for each of the two entries
+// generated and classified together, reused across shards and across
+// whole runs.
 type shardScratch struct {
-	cls core.ClassifyScratch
-	buf []byte
+	cls [2]core.ClassifyScratch
+	buf [2][]byte
 }
 
 var scratchPool = par.NewPool(func() *shardScratch { return &shardScratch{} })
@@ -152,21 +153,47 @@ func shardKey(g *Generator, s, lo, hi int) cas.Key {
 }
 
 // classifyShard generates and classifies entries [lo, hi) into a fresh
-// aggregate using the pooled scratch.
+// aggregate using the pooled scratch. Entries go in pairs through
+// ClassifyPair, whose two interleaved table walks outrun two single scans;
+// an odd last entry goes alone.
 func classifyShard(g *Generator, cls *core.Classifier, lo, hi int, sc *shardScratch) Aggregate {
 	agg := Aggregate{MinLen: math.MaxInt}
-	for i := lo; i < hi; i++ {
-		var dir int
-		sc.buf, dir = g.Describe(i, sc.buf[:0])
-		pred := cls.ClassifyBytes(sc.buf, &sc.cls)
-		agg.Total++
-		agg.Confusion[dir][pred]++
-		agg.DescBytes += int64(len(sc.buf))
-		agg.MinLen = min(agg.MinLen, len(sc.buf))
-		agg.MaxLen = max(agg.MaxLen, len(sc.buf))
-		agg.KeywordHits += int64(sc.cls.Matched())
+	a, b := &sc.cls[0], &sc.cls[1]
+	i := lo
+	for ; i+1 < hi; i += 2 {
+		var da, db int
+		sc.buf[0], da = g.Describe(i, sc.buf[0][:0])
+		sc.buf[1], db = g.Describe(i+1, sc.buf[1][:0])
+		pa, pb := cls.ClassifyPair(sc.buf[0], sc.buf[1], a, b)
+		agg.add(da, pa, len(sc.buf[0]), a)
+		agg.add(db, pb, len(sc.buf[1]), b)
+	}
+	if i < hi {
+		var d int
+		sc.buf[0], d = g.Describe(i, sc.buf[0][:0])
+		agg.add(d, cls.ClassifyBytes(sc.buf[0], a), len(sc.buf[0]), a)
 	}
 	return agg
+}
+
+// add counts one classified entry: true direction dir, predicted direction
+// pred, description length n, and the keyword hits left in s.
+func (a *Aggregate) add(dir, pred, n int, s *core.ClassifyScratch) {
+	a.Total++
+	a.Confusion[dir][pred]++
+	a.DescBytes += int64(n)
+	a.MinLen = min(a.MinLen, n)
+	a.MaxLen = max(a.MaxLen, n)
+	a.KeywordHits += int64(s.Matched())
+}
+
+// Classify generates and classifies entries [lo, hi) of the corpus on
+// pooled scratch and returns their aggregate: one shard body, without the
+// store, for callers that classify a small corpus whole.
+func (g *Generator) Classify(lo, hi int) Aggregate {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
+	return classifyShard(g, core.Compiled(), lo, hi, sc)
 }
 
 // lookupShard serves a memoized shard aggregate from the store.

@@ -18,6 +18,7 @@ package corpus
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/catalog"
@@ -69,12 +70,62 @@ var fillerVocab = [...]string{
 	"vestibule", "zephyr", "gossamer",
 }
 
-// keywordVocab is the per-direction sorted keyword lists in canonical
-// order. The scheme is fixed, so the lists are sorted once and shared
-// read-only by every Generator.
-var keywordVocab = sync.OnceValue(func() (v [5][]string) {
+// maxTokenBound bounds the precomputed remaining-token ranges: entries
+// with more planted keywords plus filler words than this draw their
+// first tokens through Intn, which returns the same values.
+const maxTokenBound = 64
+
+// slotSize is the width of a pre-rendered token.
+const slotSize = 32
+
+// slot is one pre-rendered token: the word, its separating space, zero
+// padding, and the word-plus-space length in the last byte. Describe copies
+// the whole fixed-size slot into spare buffer capacity — a few register
+// moves instead of a memmove call — and advances by that length only.
+type slot [slotSize]byte
+
+// newSlot renders w into a slot. It panics if w does not fit.
+func newSlot(w string) slot {
+	var s slot
+	if len(w) >= slotSize-1 {
+		panic(fmt.Sprintf("corpus: word %q does not fit a %d-byte token slot", w, slotSize))
+	}
+	copy(s[:], w)
+	s[len(w)] = ' '
+	s[slotSize-1] = byte(len(w) + 1)
+	return s
+}
+
+// vocabulary is what Describe draws from, shared read-only by every
+// Generator: the per-direction sorted keyword lists in canonical order and
+// the filler words, as slots, and the precomputed bounds of every fixed
+// range it draws over. The scheme is fixed, so it is built once per
+// process.
+type vocabulary struct {
+	words  [5][]slot
+	filler [len(fillerVocab)]slot
+	// wordBound[d] is [0, len(words[d])); fillerBound is
+	// [0, len(fillerVocab)).
+	wordBound   [5]rng.Bound
+	fillerBound rng.Bound
+	// tokens[k] is [0, k): the draw that picks keyword or filler among the
+	// k tokens still to write.
+	tokens [maxTokenBound]rng.Bound
+}
+
+var sharedVocab = sync.OnceValue(func() *vocabulary {
+	v := &vocabulary{fillerBound: rng.NewBound(len(fillerVocab))}
+	for i, w := range fillerVocab {
+		v.filler[i] = newSlot(w)
+	}
 	for i, d := range catalog.Directions() {
-		v[i] = core.KeywordsFor(d)
+		for _, w := range core.KeywordsFor(d) {
+			v.words[i] = append(v.words[i], newSlot(w))
+		}
+		v.wordBound[i] = rng.NewBound(len(v.words[i]))
+	}
+	for k := 1; k < maxTokenBound; k++ {
+		v.tokens[k] = rng.NewBound(k)
 	}
 	return v
 })
@@ -85,15 +136,14 @@ var keywordVocab = sync.OnceValue(func() (v [5][]string) {
 type Generator struct {
 	spec Spec
 	seed int64
-	// vocab holds the per-direction keyword lists in canonical order.
-	vocab [5][]string
+	voc  *vocabulary
 	// cum is the cumulative (normalized) direction mix.
 	cum [5]float64
 }
 
 // NewGenerator compiles a generator for the spec and root seed.
 func NewGenerator(spec Spec, seed int64) *Generator {
-	g := &Generator{spec: spec, seed: seed, vocab: keywordVocab()}
+	g := &Generator{spec: spec, seed: seed, voc: sharedVocab()}
 	mix := spec.Mix
 	total := 0.0
 	for _, w := range mix {
@@ -134,31 +184,51 @@ func (g *Generator) direction(r *rng.Rand) int {
 // pure function of (seed, i): the per-entry stream is split from the root
 // seed with par.SplitSeed, so any shard can generate any slice
 // independently. With a capacious buf it performs zero allocations.
+//
+// Every fixed-range draw goes through a precomputed rng.Bound, which
+// returns exactly what Intn would from the same stream without a division.
+// Tokens are written as whole slots, so Describe may overwrite up to
+// slotSize bytes of buf's spare capacity past the returned length.
 func (g *Generator) Describe(i int, buf []byte) ([]byte, int) {
 	r := rng.Seeded(par.SplitSeed(g.seed, i))
+	v := g.voc
 	dir := g.direction(&r)
 	kw := g.spec.Keywords
 	noise := g.spec.Noise
-	first := true
+	start := len(buf)
 	for kw+noise > 0 {
-		if !first {
-			buf = append(buf, ' ')
+		var pick int
+		if n := kw + noise; n < maxTokenBound {
+			pick = r.Below(&v.tokens[n])
+		} else {
+			pick = r.Intn(n)
 		}
-		first = false
-		if r.Intn(kw+noise) < kw {
+		var tok *slot
+		if pick < kw {
 			// Plant a keyword: usually from the true direction, sometimes
 			// (Overlap) from a foreign one.
 			d := dir
 			if g.spec.Overlap > 0 && r.Float64() < g.spec.Overlap {
 				d = (dir + 1 + r.Intn(4)) % 5
 			}
-			words := g.vocab[d]
-			buf = append(buf, words[r.Intn(len(words))]...)
+			tok = &v.words[d][r.Below(&v.wordBound[d])]
 			kw--
 		} else {
-			buf = append(buf, fillerVocab[r.Intn(len(fillerVocab))]...)
+			tok = &v.filler[r.Below(&v.fillerBound)]
 			noise--
 		}
+		n := len(buf)
+		if cap(buf)-n < slotSize {
+			buf = slices.Grow(buf, slotSize)
+		}
+		// Copying through a local lets the compiler move the slot in
+		// registers; a direct slot-to-slot assignment calls memmove.
+		t := *tok
+		*(*slot)(buf[n : n+slotSize]) = t
+		buf = buf[:n+int(t[slotSize-1])]
+	}
+	if len(buf) > start {
+		buf = buf[:len(buf)-1] // the last token's trailing space
 	}
 	return buf, dir
 }

@@ -20,7 +20,10 @@
 // any stream-derived golden exactly once.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic SplitMix64-based generator. The zero value is a
 // valid generator seeded with 0; use New/Seeded or Seed to pick a stream.
@@ -81,6 +84,10 @@ func (r *Rand) Float64() float64 {
 // Intn returns a uniform int in [0, n). It panics if n <= 0. Power-of-two
 // bounds are a mask; general bounds use the math/rand rejection scheme, so
 // the result is exactly uniform.
+//
+// The rejection threshold 2^63-1-(2^63 mod n) is never below 2^63-n, so a
+// draw at or under 2^63-n is accepted without computing it: the division
+// behind the threshold runs only for the rare draw above that line.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
@@ -88,12 +95,71 @@ func (r *Rand) Intn(n int) int {
 	if n&(n-1) == 0 {
 		return int(r.Int63() & int64(n-1))
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
 	v := r.Int63()
-	for v > max {
-		v = r.Int63()
+	if uint64(v) > 1<<63-uint64(n) {
+		max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+		for v > max {
+			v = r.Int63()
+		}
 	}
 	return int(v % int64(n))
+}
+
+// Bound is a precomputed range [0, n) for Below: Intn's rejection
+// threshold, computed once, and a multiply-high reciprocal of n that
+// replaces the division behind the remainder. Build one per fixed range
+// and share it; it is read-only.
+type Bound struct {
+	n uint64
+	// max is the largest accepted Int63 draw (Intn's threshold; 2^63-1,
+	// accepting every draw, for powers of two).
+	max uint64
+	// mul is ceil(2^(63+l)/n) for l = ceil(log2 n), the Granlund–Montgomery
+	// reciprocal: for every v < 2^63, v/n == hi64(v*mul) >> (l-1). For a
+	// power of two it is 2^63, so the quotient is v>>l and the remainder
+	// Intn's mask.
+	mul   uint64
+	shift uint
+	// mask clears the remainder for n == 1, the one range the reciprocal
+	// cannot express; it is all ones otherwise.
+	mask uint64
+}
+
+// NewBound precomputes the range [0, n). It panics if n <= 0.
+func NewBound(n int) Bound {
+	if n <= 0 {
+		panic("rng: NewBound with non-positive n")
+	}
+	b := Bound{n: uint64(n), max: 1<<63 - 1}
+	if n == 1 {
+		return b
+	}
+	b.max -= (1 << 63) % b.n
+	l := uint(bits.Len64(b.n - 1))
+	// 2^(63+l) as a 128-bit dividend: its high word 2^(l-1) is below n.
+	q, rem := bits.Div64(1<<(l-1), 0, b.n)
+	if rem != 0 {
+		q++
+	}
+	b.mul, b.shift, b.mask = q, l-1, ^uint64(0)
+	return b
+}
+
+// Below returns a uniform int in the bound's range [0, n): exactly what
+// Intn(n) returns from the same state, consuming the same draws, with no
+// hardware division.
+func (r *Rand) Below(b *Bound) int {
+	v := uint64(r.Int63())
+	for v > b.max {
+		v = uint64(r.Int63())
+	}
+	return int(b.rem(v))
+}
+
+// rem returns v mod n for v < 2^63 through the reciprocal.
+func (b *Bound) rem(v uint64) uint64 {
+	hi, _ := bits.Mul64(v, b.mul)
+	return (v - (hi>>b.shift)*b.n) & b.mask
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1

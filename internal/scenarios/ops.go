@@ -28,7 +28,6 @@ import (
 	"repro/internal/capio"
 	"repro/internal/catalog"
 	"repro/internal/continuum"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/divexplorer"
 	"repro/internal/energy"
@@ -1268,7 +1267,7 @@ func (op PerturbSurvey) Apply(ctx context.Context, env *exp.Env, st *State) erro
 	if err != nil {
 		return err
 	}
-	checkmarks := perturbed.Matrix().Checkmarks()
+	checkmarks := perturbed.Checkmarks()
 	voteSum := 0
 	for _, n := range perturbed.VotesByTool() {
 		voteSum += n
@@ -1304,25 +1303,12 @@ func (op MutateCorpus) Apply(ctx context.Context, env *exp.Env, st *State) error
 		return fmt.Errorf("corpus size %d", op.N)
 	}
 	spec := corpus.Spec{N: op.N, Overlap: op.Overlap, Noise: op.Noise, Keywords: op.Keywords}
-	g := corpus.NewGenerator(spec, env.SeedFor(op.Stream))
-	cls := core.Compiled()
-	var sc core.ClassifyScratch
-	buf := make([]byte, 0, 256)
-	classified, correct := 0, 0
-	for i := 0; i < op.N; i++ {
-		var want int
-		buf, want = g.Describe(i, buf[:0])
-		got := cls.ClassifyBytes(buf, &sc)
-		classified++
-		if got == want {
-			correct++
-		}
+	agg := corpus.NewGenerator(spec, env.SeedFor(op.Stream)).Classify(0, op.N)
+	if agg.Total != op.N {
+		return fmt.Errorf("classified %d of %d entries", agg.Total, op.N)
 	}
-	if classified != op.N {
-		return fmt.Errorf("classified %d of %d entries", classified, op.N)
-	}
-	st.Observe("corpus.classified", float64(classified))
-	st.Observe("corpus.correct", float64(correct))
-	st.Observe("corpus.accuracy", float64(correct)/float64(classified))
+	st.Observe("corpus.classified", float64(agg.Total))
+	st.Observe("corpus.correct", float64(agg.Correct()))
+	st.Observe("corpus.accuracy", agg.Accuracy())
 	return nil
 }

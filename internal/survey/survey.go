@@ -14,6 +14,7 @@ package survey
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -210,6 +211,35 @@ func (m *Matrix) Checkmarks() int {
 	n := 0
 	for _, apps := range m.Selected {
 		n += len(apps)
+	}
+	return n
+}
+
+// Checkmarks counts the distinct (tool, application) selections of the
+// responses: Matrix().Checkmarks() without building the matrix. One bit
+// per catalog tool × responding application dedups a tool named twice for
+// one application, by one response or by two. Like Matrix it requires
+// every selected tool to be in the catalog, which Run guarantees.
+func (s *Survey) Checkmarks() int {
+	tools := s.Catalog.Tools
+	set := make([]uint64, (len(tools)*len(s.Responses)+63)/64)
+	n := 0
+	for j, r := range s.Responses {
+		// The application's column is its first response.
+		app := slices.IndexFunc(s.Responses[:j+1], func(q Response) bool {
+			return q.ApplicationID == r.ApplicationID
+		})
+		for _, name := range r.Tools {
+			t := slices.IndexFunc(tools, func(t catalog.Tool) bool { return t.Name == name })
+			if t < 0 {
+				panic(fmt.Sprintf("survey: response %s selects unknown tool %q", r.ApplicationID, name))
+			}
+			k := t*len(s.Responses) + app
+			if set[k/64]&(1<<(k%64)) == 0 {
+				set[k/64] |= 1 << (k % 64)
+				n++
+			}
+		}
 	}
 	return n
 }

@@ -218,3 +218,26 @@ func TestQuestionText(t *testing.T) {
 		t.Error("survey question should reference the Computing Continuum")
 	}
 }
+
+// Checkmarks counts what the matrix holds without building it, deduping a
+// tool named twice for one application — here by two responses.
+func TestCheckmarksMatchesMatrix(t *testing.T) {
+	s := recorded(t)
+	if got, want := s.Checkmarks(), s.Matrix().Checkmarks(); got != want || got != 28 {
+		t.Fatalf("recorded survey: Checkmarks = %d, matrix %d, want 28", got, want)
+	}
+	c := catalog.Default()
+	a, b := c.Applications[0].ID, c.Applications[1].ID
+	t0, t1, t2 := c.Tools[0].Name, c.Tools[1].Name, c.Tools[2].Name
+	dup := &Survey{Catalog: c, Responses: []Response{
+		{ApplicationID: a, Tools: []string{t0, t1}},
+		{ApplicationID: b, Tools: []string{t1}},
+		{ApplicationID: a, Tools: []string{t1, t2}},
+	}}
+	if got, want := dup.Checkmarks(), dup.Matrix().Checkmarks(); got != want || got != 4 {
+		t.Fatalf("duplicate application: Checkmarks = %d, matrix %d, want 4", got, want)
+	}
+	if n := (&Survey{Catalog: c}).Checkmarks(); n != 0 {
+		t.Fatalf("empty survey: Checkmarks = %d, want 0", n)
+	}
+}
